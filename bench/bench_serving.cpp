@@ -442,21 +442,30 @@ int main() {
     /// Pins the scalar kernels for this variant's run: the pre-E16
     /// serving stack, kept as the anchor of the historical >= 4x target.
     bool scalar_pin;
-    double qps = 0.0;
-    double t_lookup_us = 0.0;
-    double live_speedup = 0.0;
-    double hit_rate = 0.0;
-    obs::QuantileSketch::Quantiles latency;
-  } variants[4] = {{"per-query scalar", false, false, true},
-                   {"per-query", false, false, false},
-                   {"batch-64", true, false, false},
-                   {"batch+cache", true, true, false}};
+    /// One run of this variant: fresh dispatcher, full stream, cold cache.
+    struct Run {
+      double qps = 0.0;
+      double live_speedup = 0.0;
+      double hit_rate = 0.0;
+      obs::QuantileSketch::Quantiles latency;
+    };
+    std::vector<Run> runs;  // one per round
+  } variants[4] = {{"per-query scalar", false, false, true, {}},
+                   {"per-query", false, false, false, {}},
+                   {"batch-64", true, false, false, {}},
+                   {"batch+cache", true, true, false, {}}};
 
-  // Best of three repetitions per variant: each rep is a fresh dispatcher
-  // seeing the full stream cold (so the cache ramp is always included),
-  // and the best rep suppresses scheduler noise on a shared machine.
-  for (Variant& variant : variants) {
-    for (int rep = 0; rep < 3; ++rep) {
+  // Every verdict below is the median over kRounds rounds.  A round runs
+  // the four variants back to back, each on a fresh dispatcher seeing the
+  // full stream cold (so the cache ramp is always included), and forms the
+  // throughput ratios within the round: a load burst on a shared host then
+  // moves one round's ratios, not the verdict.  (A single best-of-3 ratio
+  // ranged 3.8x-7.9x across runs on one host and failed 1 run in 11.)
+  constexpr std::size_t kRounds = 7;
+  std::vector<double> vs_scalar_rounds, vs_dispatched_rounds;
+  std::vector<double> cached_speedups, uncached_speedups;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (Variant& variant : variants) {
       core::SurrogateDispatcher dispatcher(
           std::make_shared<ServingSurrogate>(net.clone()),
           [](std::span<const double>) { return std::vector<double>(3, 0.0); },
@@ -501,49 +510,69 @@ int main() {
           latency.add(dispatcher.query(input).seconds);
         }
       }
-      const double qps = static_cast<double>(kWorkload) / seconds_since(t0);
+      Variant::Run run;
+      run.qps = static_cast<double>(kWorkload) / seconds_since(t0);
       if (variant.scalar_pin) tensor::set_gemm_kernel_override(std::nullopt);
-      if (qps <= variant.qps) continue;
-
-      variant.qps = qps;
-      variant.latency = latency.quantiles();
-      const auto snap = meter.snapshot();
-      variant.t_lookup_us = 1e6 * snap.t_lookup();
-      variant.live_speedup = snap.speedup();
+      run.latency = latency.quantiles();
+      run.live_speedup = meter.snapshot().speedup();
       if (const auto* cache = dispatcher.lookup_cache()) {
-        variant.hit_rate = cache->stats().hit_rate();
+        run.hit_rate = cache->stats().hit_rate();
       }
+      variant.runs.push_back(run);
     }
+    vs_scalar_rounds.push_back(variants[3].runs.back().qps /
+                               variants[0].runs.back().qps);
+    vs_dispatched_rounds.push_back(variants[3].runs.back().qps /
+                                   variants[1].runs.back().qps);
+    cached_speedups.push_back(variants[3].runs.back().live_speedup);
+    uncached_speedups.push_back(variants[1].runs.back().live_speedup);
   }
+  const auto median_of = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];  // kRounds is odd
+  };
+  // Each variant's table row is its median-throughput run.
+  const auto median_run = [](const Variant& variant) {
+    std::vector<Variant::Run> runs = variant.runs;
+    std::sort(runs.begin(), runs.end(),
+              [](const auto& a, const auto& b) { return a.qps < b.qps; });
+    return runs[runs.size() / 2];
+  };
 
   bench::Table cache_table({"variant", "queries/s", "p50 us", "p95 us",
                             "p99 us", "hit rate", "live S_eff"});
   cache_table.header();
   for (const Variant& variant : variants) {
-    cache_table.row({variant.name, bench::fmt(variant.qps, "%.0f"),
-                     bench::fmt_us(variant.latency.p50),
-                     bench::fmt_us(variant.latency.p95),
-                     bench::fmt_us(variant.latency.p99),
-                     bench::fmt(variant.hit_rate, "%.2f"),
-                     bench::fmt(variant.live_speedup, "%.3g")});
+    const Variant::Run run = median_run(variant);
+    cache_table.row({variant.name, bench::fmt(run.qps, "%.0f"),
+                     bench::fmt_us(run.latency.p50),
+                     bench::fmt_us(run.latency.p95),
+                     bench::fmt_us(run.latency.p99),
+                     bench::fmt(run.hit_rate, "%.2f"),
+                     bench::fmt(run.live_speedup, "%.3g")});
   }
   // Two anchors, reported separately so the kernel work cannot dress up
   // the serving-layer numbers: the historical >= 4x target is against the
   // pre-E16 stack (per-query, scalar kernels), and a >= 2x floor holds
   // against the per-query path on the SAME dispatched kernels — the
   // baseline E16 made 2-3x faster out from under this comparison.
-  const double vs_scalar = variants[3].qps / variants[0].qps;
-  const double vs_dispatched = variants[3].qps / variants[1].qps;
+  const auto [scalar_lo, scalar_hi] = std::minmax_element(
+      vs_scalar_rounds.begin(), vs_scalar_rounds.end());
+  const double vs_scalar = median_of(vs_scalar_rounds);
+  const double vs_dispatched = median_of(vs_dispatched_rounds);
+  const double cached_speedup = median_of(cached_speedups);
+  const double uncached_speedup = median_of(uncached_speedups);
   const bool throughput_ok = vs_scalar >= 4.0 && vs_dispatched >= 2.0;
-  const bool speedup_ok = variants[3].live_speedup > variants[1].live_speedup;
+  const bool speedup_ok = cached_speedup > uncached_speedup;
   std::printf("check: serving layer (batch-64 + cache, 90%% repeats) %.2fx "
-              "the pre-E16\nper-query scalar stack (target >= 4x) and "
-              "%.2fx per-query dispatch on the\nsame kernels (target >= "
-              "2x) ... %s\n",
-              vs_scalar, vs_dispatched, throughput_ok ? "PASS" : "FAIL");
-  std::printf("check: cached live S_eff %.3g > uncached %.3g ... %s\n",
-              variants[3].live_speedup, variants[1].live_speedup,
-              speedup_ok ? "PASS" : "FAIL");
+              "the pre-E16\nper-query scalar stack (target >= 4x; median of "
+              "%zu rounds, range %.2fx-%.2fx) and\n%.2fx per-query dispatch "
+              "on the same kernels (target >= 2x) ... %s\n",
+              vs_scalar, kRounds, *scalar_lo, *scalar_hi, vs_dispatched,
+              throughput_ok ? "PASS" : "FAIL");
+  std::printf("check: cached live S_eff %.3g > uncached %.3g (medians) ... "
+              "%s\n",
+              cached_speedup, uncached_speedup, speedup_ok ? "PASS" : "FAIL");
 
   if (metrics_on) bench::emit_metrics("E13");
   // Like the other claim benches, the exit code carries the verdict —

@@ -229,10 +229,6 @@ class SurrogateDispatcher {
   /// service may call this from its own thread while queries are in
   /// flight (tests/test_retrain.cpp proves the handoff under TSan).
   [[nodiscard]] data::Dataset take_retraining();
-  /// Alias of take_retraining(), kept for existing callers.
-  [[nodiscard]] data::Dataset drain_training_buffer() {
-    return take_retraining();
-  }
 
   /// Mean uncertainty score of the fallback runs currently buffered — a
   /// gauge of how far outside the surrogate's competence the buffered

@@ -6,6 +6,9 @@
 /// surrogate), optionally with dropout for MC-dropout uncertainty
 /// quantification (Section III-B).  Layers process batches stored as
 /// (batch x features) row-major matrices and cache what backward() needs.
+/// Training runs through the same dispatched kernels as serving
+/// (tensor::gemm, vtanh/vrelu) into layer-owned buffers, so once those have
+/// reached their steady-state shape a training step allocates nothing.
 #pragma once
 
 #include <memory>
@@ -32,12 +35,15 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output for a (batch x in_dim) input.
-  virtual tensor::Matrix forward(const tensor::Matrix& input) = 0;
+  /// Computes the layer output for a (batch x in_dim) input and caches what
+  /// backward() needs.  The result lives in layer-owned storage and stays
+  /// valid until the next forward() on this layer.
+  virtual const tensor::Matrix& forward(const tensor::Matrix& input) = 0;
 
   /// Propagates (batch x out_dim) output gradients; accumulates parameter
-  /// gradients internally and returns (batch x in_dim) input gradients.
-  virtual tensor::Matrix backward(const tensor::Matrix& grad_output) = 0;
+  /// gradients internally and returns (batch x in_dim) input gradients in
+  /// layer-owned storage, valid until the next backward() on this layer.
+  virtual const tensor::Matrix& backward(const tensor::Matrix& grad_output) = 0;
 
   /// Inference-only forward into a caller-owned buffer: identical math to
   /// forward() but nothing is cached for backward() and, once `out` has
@@ -74,8 +80,11 @@ class DenseLayer final : public Layer {
   /// Glorot-uniform initialization driven by the given stream.
   DenseLayer(std::size_t in_dim, std::size_t out_dim, stats::Rng& rng);
 
-  tensor::Matrix forward(const tensor::Matrix& input) override;
-  tensor::Matrix backward(const tensor::Matrix& grad_output) override;
+  /// Remembers the input, then infer().
+  const tensor::Matrix& forward(const tensor::Matrix& input) override;
+  /// dW += X^T * dY and dX = dY * W^T through tensor::gemm (transposed
+  /// operands staged in reused buffers), db += colsum(dY).
+  const tensor::Matrix& backward(const tensor::Matrix& grad_output) override;
   /// Forward through tensor::gemm under this layer's GemmPlan (kernel +
   /// blocking), with no input caching.  The default plan defers the kernel
   /// choice to active_gemm_kernel(); Network::autotune_inference installs a
@@ -110,8 +119,17 @@ class DenseLayer final : public Layer {
   tensor::Matrix weight_grads_;
   std::vector<double> bias_;
   std::vector<double> bias_grads_;
-  tensor::Matrix cached_input_;
   tensor::GemmPlan infer_plan_{};
+  // Training buffers, reused across steps: the remembered input, the
+  // forward output, the staged transposes, this batch's dW and dX.
+  tensor::Matrix cached_input_;
+  tensor::Matrix output_;
+  tensor::Matrix input_t_;
+  tensor::Matrix weights_t_;
+  tensor::Matrix grad_output_t_;
+  tensor::Matrix batch_weight_grads_;
+  tensor::Matrix grad_input_t_;
+  tensor::Matrix grad_input_;
 };
 
 /// Supported pointwise nonlinearities.
@@ -131,8 +149,10 @@ class ActivationLayer final : public Layer {
   ActivationLayer(Activation kind, std::size_t dim)
       : kind_(kind), dim_(dim) {}
 
-  tensor::Matrix forward(const tensor::Matrix& input) override;
-  tensor::Matrix backward(const tensor::Matrix& grad_output) override;
+  /// infer(), keeping the output: backward() takes the derivative from it
+  /// (1 - y^2, y > 0, y(1 - y)) instead of recomputing the nonlinearity.
+  const tensor::Matrix& forward(const tensor::Matrix& input) override;
+  const tensor::Matrix& backward(const tensor::Matrix& grad_output) override;
   void infer(const tensor::Matrix& input, tensor::Matrix& out) override;
 
   [[nodiscard]] std::size_t input_dim() const override { return dim_; }
@@ -146,7 +166,8 @@ class ActivationLayer final : public Layer {
  private:
   Activation kind_;
   std::size_t dim_;
-  tensor::Matrix cached_input_;
+  tensor::Matrix output_;
+  tensor::Matrix grad_input_;
 };
 
 /// Inverted dropout.  Active in training mode; in evaluation mode it is the
@@ -156,8 +177,8 @@ class DropoutLayer final : public Layer {
  public:
   DropoutLayer(double rate, std::size_t dim, stats::Rng rng);
 
-  tensor::Matrix forward(const tensor::Matrix& input) override;
-  tensor::Matrix backward(const tensor::Matrix& grad_output) override;
+  const tensor::Matrix& forward(const tensor::Matrix& input) override;
+  const tensor::Matrix& backward(const tensor::Matrix& grad_output) override;
   /// In deterministic evaluation this is a copy; in training/MC mode it
   /// draws masks exactly like forward() (same RNG stream consumption) but
   /// does not retain them, since no backward() follows inference.
@@ -179,7 +200,10 @@ class DropoutLayer final : public Layer {
   std::size_t dim_;
   stats::Rng rng_;
   bool mc_mode_ = false;
+  bool masked_ = false;  // the last forward() drew mask_; else identity
   tensor::Matrix mask_;
+  tensor::Matrix output_;
+  tensor::Matrix grad_input_;
 };
 
 }  // namespace le::nn

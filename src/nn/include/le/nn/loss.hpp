@@ -20,24 +20,37 @@ class Loss {
  public:
   virtual ~Loss() = default;
   /// Both matrices are (batch x outputs) and must have identical shape.
-  [[nodiscard]] virtual LossResult evaluate(const tensor::Matrix& predicted,
-                                            const tensor::Matrix& target) const = 0;
+  /// Returns the loss value and writes its gradient into `grad`, resized
+  /// to the prediction's shape (no allocation once it has held that many
+  /// elements; the training loop reuses one buffer across steps).
+  virtual double evaluate(const tensor::Matrix& predicted,
+                          const tensor::Matrix& target,
+                          tensor::Matrix& grad) const = 0;
+  /// Allocating convenience over the three-argument form.
+  [[nodiscard]] LossResult evaluate(const tensor::Matrix& predicted,
+                                    const tensor::Matrix& target) const {
+    LossResult res;
+    res.value = evaluate(predicted, target, res.grad);
+    return res;
+  }
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
 /// Mean squared error averaged over batch and output dimensions.
 class MseLoss final : public Loss {
  public:
-  [[nodiscard]] LossResult evaluate(const tensor::Matrix& predicted,
-                                    const tensor::Matrix& target) const override;
+  using Loss::evaluate;
+  double evaluate(const tensor::Matrix& predicted, const tensor::Matrix& target,
+                  tensor::Matrix& grad) const override;
   [[nodiscard]] const char* name() const override { return "mse"; }
 };
 
 /// Mean absolute error; gradient is the (sub)gradient sign/n.
 class MaeLoss final : public Loss {
  public:
-  [[nodiscard]] LossResult evaluate(const tensor::Matrix& predicted,
-                                    const tensor::Matrix& target) const override;
+  using Loss::evaluate;
+  double evaluate(const tensor::Matrix& predicted, const tensor::Matrix& target,
+                  tensor::Matrix& grad) const override;
   [[nodiscard]] const char* name() const override { return "mae"; }
 };
 
@@ -45,8 +58,9 @@ class MaeLoss final : public Loss {
 class HuberLoss final : public Loss {
  public:
   explicit HuberLoss(double delta = 1.0);
-  [[nodiscard]] LossResult evaluate(const tensor::Matrix& predicted,
-                                    const tensor::Matrix& target) const override;
+  using Loss::evaluate;
+  double evaluate(const tensor::Matrix& predicted, const tensor::Matrix& target,
+                  tensor::Matrix& grad) const override;
   [[nodiscard]] const char* name() const override { return "huber"; }
   [[nodiscard]] double delta() const noexcept { return delta_; }
 

@@ -34,12 +34,15 @@ class Network {
 
   void add(std::unique_ptr<Layer> layer);
 
-  /// Batch forward pass through all layers.
-  [[nodiscard]] tensor::Matrix forward(const tensor::Matrix& input);
+  /// Training batch forward pass through all layers, each caching what
+  /// backward() needs.  Nothing is copied between layers: the result is the
+  /// last layer's own output buffer, valid until the next forward().
+  [[nodiscard]] const tensor::Matrix& forward(const tensor::Matrix& input);
 
   /// Backward pass; must follow a forward() on the same batch.  Parameter
-  /// gradients accumulate until zero_grad().
-  tensor::Matrix backward(const tensor::Matrix& grad_output);
+  /// gradients accumulate until zero_grad().  The returned input gradients
+  /// live in the first layer's buffer, valid until the next backward().
+  const tensor::Matrix& backward(const tensor::Matrix& grad_output);
 
   /// Inference-only batch forward: each row of `inputs` is one sample and
   /// `outputs` is resized to (inputs.rows() x output_dim()).  Activations

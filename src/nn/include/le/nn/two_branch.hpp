@@ -27,8 +27,8 @@ class TwoBranchLayer final : public Layer {
   /// branch_a.input_dim().
   TwoBranchLayer(Network branch_a, Network branch_b);
 
-  tensor::Matrix forward(const tensor::Matrix& input) override;
-  tensor::Matrix backward(const tensor::Matrix& grad_output) override;
+  const tensor::Matrix& forward(const tensor::Matrix& input) override;
+  const tensor::Matrix& backward(const tensor::Matrix& grad_output) override;
   std::vector<ParamView> parameters() override;
   void zero_grad() override;
   void set_training(bool training) override;
@@ -44,6 +44,10 @@ class TwoBranchLayer final : public Layer {
  private:
   Network a_;
   Network b_;
+  // Column-split inputs/gradients per branch and the concatenated results,
+  // reused across steps.
+  tensor::Matrix in_a_, in_b_, output_;
+  tensor::Matrix grad_a_, grad_b_, grad_input_;
 };
 
 /// Configuration for the standard DEFSI-style model: two MLP branches plus

@@ -25,18 +25,10 @@ DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, stats::Rng& rng)
   for (double& w : weights_.flat()) w = rng.uniform(-limit, limit);
 }
 
-tensor::Matrix DenseLayer::forward(const tensor::Matrix& input) {
-  if (input.cols() != weights_.rows()) {
-    throw std::invalid_argument("DenseLayer::forward: input dim mismatch");
-  }
+const tensor::Matrix& DenseLayer::forward(const tensor::Matrix& input) {
+  infer(input, output_);
   cached_input_ = input;
-  tensor::Matrix out(input.rows(), weights_.cols());
-  tensor::gemm_naive(input, weights_, out);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto row = out.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) row[c] += bias_[c];
-  }
-  return out;
+  return output_;
 }
 
 void DenseLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
@@ -51,26 +43,53 @@ void DenseLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
   }
 }
 
-tensor::Matrix DenseLayer::backward(const tensor::Matrix& grad_output) {
+const tensor::Matrix& DenseLayer::backward(const tensor::Matrix& grad_output) {
   if (grad_output.rows() != cached_input_.rows() ||
       grad_output.cols() != weights_.cols()) {
     throw std::invalid_argument("DenseLayer::backward: grad shape mismatch");
   }
-  // dW += X^T * dY ; db += colsum(dY) ; dX = dY * W^T
-  tensor::Matrix xt = cached_input_.transposed();
-  tensor::Matrix dw(weights_.rows(), weights_.cols());
-  tensor::gemm_naive(xt, grad_output, dw);
-  for (std::size_t i = 0; i < dw.size(); ++i) {
-    weight_grads_.data()[i] += dw.data()[i];
+  // dW += X^T * dY ; db += colsum(dY) ; dX = dY * W^T.  Each product runs
+  // in whichever orientation gives the GEMM the wider column count, because
+  // the AVX2 register tile is 8 columns wide and a 3- or 5-column product
+  // would run in its scalar tail: dW directly or as (dY^T * X)^T, dX
+  // directly or as (W * dY^T)^T.  Both orientations sum the same products
+  // over the same index in the same order, so the scalar kernel rounds
+  // identically either way.  This batch's dW is formed apart and then
+  // added, so accumulation across backward() calls rounds as it always has.
+  const std::size_t batch = grad_output.rows();
+  const std::size_t in = weights_.rows(), out = weights_.cols();
+  const bool need_grad_t = out < in || in < batch;
+  if (need_grad_t) tensor::transpose(grad_output, grad_output_t_);
+  if (out < in) {
+    batch_weight_grads_.resize(out, in);
+    tensor::gemm(grad_output_t_, cached_input_, batch_weight_grads_);
+    for (std::size_t i = 0; i < in; ++i) {
+      for (std::size_t j = 0; j < out; ++j) {
+        weight_grads_(i, j) += batch_weight_grads_(j, i);
+      }
+    }
+  } else {
+    tensor::transpose(cached_input_, input_t_);
+    batch_weight_grads_.resize(in, out);
+    tensor::gemm(input_t_, grad_output, batch_weight_grads_);
+    for (std::size_t i = 0; i < batch_weight_grads_.size(); ++i) {
+      weight_grads_.data()[i] += batch_weight_grads_.data()[i];
+    }
   }
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
+  for (std::size_t r = 0; r < batch; ++r) {
     auto row = grad_output.row(r);
     for (std::size_t c = 0; c < row.size(); ++c) bias_grads_[c] += row[c];
   }
-  tensor::Matrix wt = weights_.transposed();
-  tensor::Matrix dx(grad_output.rows(), weights_.rows());
-  tensor::gemm_naive(grad_output, wt, dx);
-  return dx;
+  if (in < batch) {
+    grad_input_t_.resize(in, batch);
+    tensor::gemm(weights_, grad_output_t_, grad_input_t_);
+    tensor::transpose(grad_input_t_, grad_input_);
+  } else {
+    tensor::transpose(weights_, weights_t_);
+    grad_input_.resize(batch, in);
+    tensor::gemm(grad_output, weights_t_, grad_input_);
+  }
+  return grad_input_;
 }
 
 std::vector<ParamView> DenseLayer::parameters() {
@@ -126,35 +145,42 @@ double activation_apply(Activation kind, double x) {
 
 namespace {
 
-double activation_grad(Activation kind, double x) {
+/// dx = dy * f'(x) with f'(x) expressed through the output y = f(x), so no
+/// transcendental is recomputed: for every kind this is the value the
+/// input-based derivative takes (y > 0 exactly when x > 0).  One loop per
+/// kind keeps the switch out of the element loop.
+void activation_backward(Activation kind, const double* y, const double* dy,
+                         double* dx, std::size_t n) {
   switch (kind) {
-    case Activation::kIdentity: return 1.0;
-    case Activation::kRelu: return x > 0.0 ? 1.0 : 0.0;
-    case Activation::kLeakyRelu: return x > 0.0 ? 1.0 : 0.01;
-    case Activation::kTanh: {
-      const double t = std::tanh(x);
-      return 1.0 - t * t;
-    }
-    case Activation::kSigmoid: {
-      const double s = 1.0 / (1.0 + std::exp(-x));
-      return s * (1.0 - s);
-    }
+    case Activation::kIdentity:
+      std::copy(dy, dy + n, dx);
+      return;
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < n; ++i) {
+        const double slope = y[i] > 0.0 ? 1.0 : 0.0;
+        dx[i] = dy[i] * slope;
+      }
+      return;
+    case Activation::kLeakyRelu:
+      for (std::size_t i = 0; i < n; ++i) {
+        const double slope = y[i] > 0.0 ? 1.0 : 0.01;
+        dx[i] = dy[i] * slope;
+      }
+      return;
+    case Activation::kTanh:
+      for (std::size_t i = 0; i < n; ++i) dx[i] = dy[i] * (1.0 - y[i] * y[i]);
+      return;
+    case Activation::kSigmoid:
+      for (std::size_t i = 0; i < n; ++i) dx[i] = dy[i] * (y[i] * (1.0 - y[i]));
+      return;
   }
-  return 1.0;
 }
 
 }  // namespace
 
-tensor::Matrix ActivationLayer::forward(const tensor::Matrix& input) {
-  if (input.cols() != dim_) {
-    throw std::invalid_argument("ActivationLayer::forward: dim mismatch");
-  }
-  cached_input_ = input;
-  tensor::Matrix out(input.rows(), input.cols());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    out.data()[i] = activation_apply(kind_, input.data()[i]);
-  }
-  return out;
+const tensor::Matrix& ActivationLayer::forward(const tensor::Matrix& input) {
+  infer(input, output_);
+  return output_;
 }
 
 void ActivationLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
@@ -182,17 +208,16 @@ void ActivationLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
   }
 }
 
-tensor::Matrix ActivationLayer::backward(const tensor::Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != cached_input_.cols()) {
+const tensor::Matrix& ActivationLayer::backward(
+    const tensor::Matrix& grad_output) {
+  if (grad_output.rows() != output_.rows() ||
+      grad_output.cols() != output_.cols()) {
     throw std::invalid_argument("ActivationLayer::backward: shape mismatch");
   }
-  tensor::Matrix dx(grad_output.rows(), grad_output.cols());
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    dx.data()[i] =
-        grad_output.data()[i] * activation_grad(kind_, cached_input_.data()[i]);
-  }
-  return dx;
+  grad_input_.resize(grad_output.rows(), grad_output.cols());
+  activation_backward(kind_, output_.data(), grad_output.data(),
+                      grad_input_.data(), grad_output.size());
+  return grad_input_;
 }
 
 // ---------------------------------------------------------------------------
@@ -205,23 +230,25 @@ DropoutLayer::DropoutLayer(double rate, std::size_t dim, stats::Rng rng)
   }
 }
 
-tensor::Matrix DropoutLayer::forward(const tensor::Matrix& input) {
+const tensor::Matrix& DropoutLayer::forward(const tensor::Matrix& input) {
   if (input.cols() != dim_) {
     throw std::invalid_argument("DropoutLayer::forward: dim mismatch");
   }
-  if (!stochastic() || rate_ == 0.0) {
-    mask_ = tensor::Matrix();  // identity pass; backward passes grads through
-    return input;
+  output_.resize(input.rows(), input.cols());
+  masked_ = stochastic() && rate_ != 0.0;
+  if (!masked_) {
+    // Identity pass; backward passes grads through.
+    std::copy(input.data(), input.data() + input.size(), output_.data());
+    return output_;
   }
   const double keep = 1.0 - rate_;
   mask_.resize(input.rows(), input.cols());
-  tensor::Matrix out(input.rows(), input.cols());
   for (std::size_t i = 0; i < input.size(); ++i) {
     const double m = rng_.bernoulli(keep) ? 1.0 / keep : 0.0;
     mask_.data()[i] = m;
-    out.data()[i] = input.data()[i] * m;
+    output_.data()[i] = input.data()[i] * m;
   }
-  return out;
+  return output_;
 }
 
 void DropoutLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
@@ -239,16 +266,22 @@ void DropoutLayer::infer(const tensor::Matrix& input, tensor::Matrix& out) {
   }
 }
 
-tensor::Matrix DropoutLayer::backward(const tensor::Matrix& grad_output) {
-  if (mask_.empty()) return grad_output;
-  if (grad_output.rows() != mask_.rows() || grad_output.cols() != mask_.cols()) {
+const tensor::Matrix& DropoutLayer::backward(
+    const tensor::Matrix& grad_output) {
+  if (masked_ && (grad_output.rows() != mask_.rows() ||
+                  grad_output.cols() != mask_.cols())) {
     throw std::invalid_argument("DropoutLayer::backward: shape mismatch");
   }
-  tensor::Matrix dx(grad_output.rows(), grad_output.cols());
-  for (std::size_t i = 0; i < grad_output.size(); ++i) {
-    dx.data()[i] = grad_output.data()[i] * mask_.data()[i];
+  grad_input_.resize(grad_output.rows(), grad_output.cols());
+  if (!masked_) {
+    std::copy(grad_output.data(), grad_output.data() + grad_output.size(),
+              grad_input_.data());
+    return grad_input_;
   }
-  return dx;
+  for (std::size_t i = 0; i < grad_output.size(); ++i) {
+    grad_input_.data()[i] = grad_output.data()[i] * mask_.data()[i];
+  }
+  return grad_input_;
 }
 
 std::unique_ptr<Layer> DropoutLayer::clone() const {

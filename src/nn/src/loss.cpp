@@ -14,61 +14,58 @@ void check_shapes(const tensor::Matrix& p, const tensor::Matrix& t) {
 }
 }  // namespace
 
-LossResult MseLoss::evaluate(const tensor::Matrix& predicted,
-                             const tensor::Matrix& target) const {
+double MseLoss::evaluate(const tensor::Matrix& predicted,
+                         const tensor::Matrix& target,
+                         tensor::Matrix& grad) const {
   check_shapes(predicted, target);
   const double n = static_cast<double>(predicted.size());
-  LossResult res;
-  res.grad.resize(predicted.rows(), predicted.cols());
+  grad.resize(predicted.rows(), predicted.cols());
   double acc = 0.0;
   for (std::size_t i = 0; i < predicted.size(); ++i) {
     const double d = predicted.data()[i] - target.data()[i];
     acc += d * d;
-    res.grad.data()[i] = 2.0 * d / n;
+    grad.data()[i] = 2.0 * d / n;
   }
-  res.value = acc / n;
-  return res;
+  return acc / n;
 }
 
-LossResult MaeLoss::evaluate(const tensor::Matrix& predicted,
-                             const tensor::Matrix& target) const {
+double MaeLoss::evaluate(const tensor::Matrix& predicted,
+                         const tensor::Matrix& target,
+                         tensor::Matrix& grad) const {
   check_shapes(predicted, target);
   const double n = static_cast<double>(predicted.size());
-  LossResult res;
-  res.grad.resize(predicted.rows(), predicted.cols());
+  grad.resize(predicted.rows(), predicted.cols());
   double acc = 0.0;
   for (std::size_t i = 0; i < predicted.size(); ++i) {
     const double d = predicted.data()[i] - target.data()[i];
     acc += std::abs(d);
-    res.grad.data()[i] = (d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0)) / n;
+    grad.data()[i] = (d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0)) / n;
   }
-  res.value = acc / n;
-  return res;
+  return acc / n;
 }
 
 HuberLoss::HuberLoss(double delta) : delta_(delta) {
   if (delta <= 0.0) throw std::invalid_argument("HuberLoss: delta must be > 0");
 }
 
-LossResult HuberLoss::evaluate(const tensor::Matrix& predicted,
-                               const tensor::Matrix& target) const {
+double HuberLoss::evaluate(const tensor::Matrix& predicted,
+                           const tensor::Matrix& target,
+                           tensor::Matrix& grad) const {
   check_shapes(predicted, target);
   const double n = static_cast<double>(predicted.size());
-  LossResult res;
-  res.grad.resize(predicted.rows(), predicted.cols());
+  grad.resize(predicted.rows(), predicted.cols());
   double acc = 0.0;
   for (std::size_t i = 0; i < predicted.size(); ++i) {
     const double d = predicted.data()[i] - target.data()[i];
     if (std::abs(d) <= delta_) {
       acc += 0.5 * d * d;
-      res.grad.data()[i] = d / n;
+      grad.data()[i] = d / n;
     } else {
       acc += delta_ * (std::abs(d) - 0.5 * delta_);
-      res.grad.data()[i] = delta_ * (d > 0.0 ? 1.0 : -1.0) / n;
+      grad.data()[i] = delta_ * (d > 0.0 ? 1.0 : -1.0) / n;
     }
   }
-  res.value = acc / n;
-  return res;
+  return acc / n;
 }
 
 }  // namespace le::nn

@@ -17,20 +17,20 @@ void Network::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-tensor::Matrix Network::forward(const tensor::Matrix& input) {
+const tensor::Matrix& Network::forward(const tensor::Matrix& input) {
   if (layers_.empty()) throw std::logic_error("Network::forward: empty network");
-  tensor::Matrix x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
-  return x;
+  const tensor::Matrix* x = &input;
+  for (auto& layer : layers_) x = &layer->forward(*x);
+  return *x;
 }
 
-tensor::Matrix Network::backward(const tensor::Matrix& grad_output) {
+const tensor::Matrix& Network::backward(const tensor::Matrix& grad_output) {
   if (layers_.empty()) throw std::logic_error("Network::backward: empty network");
-  tensor::Matrix g = grad_output;
+  const tensor::Matrix* g = &grad_output;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+    g = &(*it)->backward(*g);
   }
-  return g;
+  return *g;
 }
 
 void Network::predict_batch(const tensor::Matrix& inputs,

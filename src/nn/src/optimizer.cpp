@@ -66,18 +66,22 @@ void AdamOptimizer::step(const std::vector<ParamView>& params) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  // Without weight decay the factor is exactly 1.0, and x * 1.0 == x, so
+  // applying it unconditionally keeps the loop branch-free (vectorizable;
+  // this file is built with -fno-math-errno so std::sqrt is too) without
+  // changing a single rounding.
+  const double decay = weight_decay_ > 0.0 ? 1.0 - lr_ * weight_decay_ : 1.0;
   for (std::size_t i = 0; i < params.size(); ++i) {
     const auto& p = params[i];
-    auto& m = m_[i];
-    auto& v = v_[i];
+    double* m = m_[i].data();
+    double* v = v_[i].data();
     for (std::size_t j = 0; j < p.values.size(); ++j) {
       const double g = p.grads[j];
       m[j] = beta1_ * m[j] + (1.0 - beta1_) * g;
       v[j] = beta2_ * v[j] + (1.0 - beta2_) * g * g;
       const double mhat = m[j] / bc1;
       const double vhat = v[j] / bc2;
-      p.values[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      if (weight_decay_ > 0.0) p.values[j] *= 1.0 - lr_ * weight_decay_;
+      p.values[j] = (p.values[j] - lr_ * mhat / (std::sqrt(vhat) + eps_)) * decay;
     }
   }
 }

@@ -13,15 +13,16 @@ namespace le::nn {
 
 namespace {
 
-tensor::Matrix gather_rows(const data::Dataset& ds,
-                           std::span<const std::size_t> idx, bool inputs) {
+/// Gathers the rows `idx` of the dataset's inputs (or targets) into `m`,
+/// which the training loop reuses across steps.
+void gather_rows(const data::Dataset& ds, std::span<const std::size_t> idx,
+                 bool inputs, tensor::Matrix& m) {
   const std::size_t dim = inputs ? ds.input_dim() : ds.target_dim();
-  tensor::Matrix m(idx.size(), dim);
+  m.resize(idx.size(), dim);
   for (std::size_t r = 0; r < idx.size(); ++r) {
     auto row = inputs ? ds.input(idx[r]) : ds.target(idx[r]);
     std::copy(row.begin(), row.end(), m.row(r).begin());
   }
-  return m;
 }
 
 void clip_gradients(const std::vector<ParamView>& params, double clip) {
@@ -38,26 +39,37 @@ TrainResult fit(Network& net, const data::Dataset& train_data,
   if (train_data.empty()) throw std::invalid_argument("fit: empty dataset");
   if (config.batch_size == 0) throw std::invalid_argument("fit: batch_size == 0");
 
-  // Optional validation holdout.
-  data::Dataset train = train_data;
+  // Optional validation holdout; without one, train on the caller's data
+  // in place.
+  const data::Dataset* train = &train_data;
+  data::Dataset train_split;
   data::Dataset val;
   const bool has_val = config.validation_fraction > 0.0;
   if (has_val) {
     auto [tr, va] = train_data.split(1.0 - config.validation_fraction, rng);
-    train = std::move(tr);
+    train_split = std::move(tr);
     val = std::move(va);
-    if (train.empty() || val.empty()) {
+    if (train_split.empty() || val.empty()) {
       throw std::invalid_argument("fit: validation split produced empty set");
     }
+    train = &train_split;
   }
 
   TrainResult result;
+  result.history.reserve(config.epochs);
   double best_val = std::numeric_limits<double>::infinity();
   std::vector<double> best_weights;
   std::size_t epochs_without_improvement = 0;
 
-  std::vector<std::size_t> order(train.size());
+  std::vector<std::size_t> order(train->size());
   std::iota(order.begin(), order.end(), 0);
+
+  // Per-step buffers and parameter views, reused for the whole fit: after
+  // the first step has sized them, a step allocates nothing.
+  tensor::Matrix x;
+  tensor::Matrix y;
+  tensor::Matrix grad;
+  const std::vector<ParamView> params = net.parameters();
 
   // Per-epoch wall time feeds the observability layer (T_learn in the
   // Section III-D model); both handles stay null when metrics are off.
@@ -81,19 +93,16 @@ TrainResult fit(Network& net, const data::Dataset& train_data,
          start += config.batch_size) {
       const std::size_t count = std::min(config.batch_size, order.size() - start);
       const std::span<const std::size_t> idx{order.data() + start, count};
-      tensor::Matrix x = gather_rows(train, idx, /*inputs=*/true);
-      tensor::Matrix y = gather_rows(train, idx, /*inputs=*/false);
+      gather_rows(*train, idx, /*inputs=*/true, x);
+      gather_rows(*train, idx, /*inputs=*/false, y);
 
       net.zero_grad();
-      tensor::Matrix pred = net.forward(x);
-      LossResult lr = loss.evaluate(pred, y);
-      net.backward(lr.grad);
-      if (config.gradient_clip > 0.0) {
-        clip_gradients(net.parameters(), config.gradient_clip);
-      }
-      optimizer.step(net.parameters());
+      const double value = loss.evaluate(net.forward(x), y, grad);
+      net.backward(grad);
+      if (config.gradient_clip > 0.0) clip_gradients(params, config.gradient_clip);
+      optimizer.step(params);
       ++result.steps;
-      epoch_loss += lr.value;
+      epoch_loss += value;
       ++batches;
     }
     epoch_loss /= static_cast<double>(std::max<std::size_t>(batches, 1));

@@ -12,61 +12,58 @@ TwoBranchLayer::TwoBranchLayer(Network branch_a, Network branch_b)
   }
 }
 
-tensor::Matrix TwoBranchLayer::forward(const tensor::Matrix& input) {
+namespace {
+
+/// Splits each row of `m` at column `split` into `left` and `right`.
+void split_columns(const tensor::Matrix& m, std::size_t split,
+                   tensor::Matrix& left, tensor::Matrix& right) {
+  left.resize(m.rows(), split);
+  right.resize(m.rows(), m.cols() - split);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    auto row = m.row(r);
+    std::copy(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(split),
+              left.row(r).begin());
+    std::copy(row.begin() + static_cast<std::ptrdiff_t>(split), row.end(),
+              right.row(r).begin());
+  }
+}
+
+/// out = [left | right], row by row.
+void concat_columns(const tensor::Matrix& left, const tensor::Matrix& right,
+                    tensor::Matrix& out) {
+  out.resize(left.rows(), left.cols() + right.cols());
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    auto lrow = left.row(r);
+    auto rrow = right.row(r);
+    auto orow = out.row(r);
+    std::copy(lrow.begin(), lrow.end(), orow.begin());
+    std::copy(rrow.begin(), rrow.end(),
+              orow.begin() + static_cast<std::ptrdiff_t>(lrow.size()));
+  }
+}
+
+}  // namespace
+
+const tensor::Matrix& TwoBranchLayer::forward(const tensor::Matrix& input) {
   const std::size_t split = a_.input_dim();
   if (input.cols() != split + b_.input_dim()) {
     throw std::invalid_argument("TwoBranchLayer::forward: input dim mismatch");
   }
-  tensor::Matrix xa(input.rows(), split);
-  tensor::Matrix xb(input.rows(), b_.input_dim());
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    auto row = input.row(r);
-    std::copy(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(split),
-              xa.row(r).begin());
-    std::copy(row.begin() + static_cast<std::ptrdiff_t>(split), row.end(),
-              xb.row(r).begin());
-  }
-  tensor::Matrix ya = a_.forward(xa);
-  tensor::Matrix yb = b_.forward(xb);
-  tensor::Matrix out(input.rows(), ya.cols() + yb.cols());
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    auto arow = ya.row(r);
-    auto brow = yb.row(r);
-    auto orow = out.row(r);
-    std::copy(arow.begin(), arow.end(), orow.begin());
-    std::copy(brow.begin(), brow.end(),
-              orow.begin() + static_cast<std::ptrdiff_t>(arow.size()));
-  }
-  return out;
+  split_columns(input, split, in_a_, in_b_);
+  concat_columns(a_.forward(in_a_), b_.forward(in_b_), output_);
+  return output_;
 }
 
-tensor::Matrix TwoBranchLayer::backward(const tensor::Matrix& grad_output) {
+const tensor::Matrix& TwoBranchLayer::backward(
+    const tensor::Matrix& grad_output) {
   const std::size_t a_out = a_.output_dim();
   const std::size_t b_out = b_.output_dim();
   if (grad_output.cols() != a_out + b_out) {
     throw std::invalid_argument("TwoBranchLayer::backward: grad dim mismatch");
   }
-  tensor::Matrix ga(grad_output.rows(), a_out);
-  tensor::Matrix gb(grad_output.rows(), b_out);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    auto row = grad_output.row(r);
-    std::copy(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(a_out),
-              ga.row(r).begin());
-    std::copy(row.begin() + static_cast<std::ptrdiff_t>(a_out), row.end(),
-              gb.row(r).begin());
-  }
-  tensor::Matrix dxa = a_.backward(ga);
-  tensor::Matrix dxb = b_.backward(gb);
-  tensor::Matrix dx(grad_output.rows(), dxa.cols() + dxb.cols());
-  for (std::size_t r = 0; r < dx.rows(); ++r) {
-    auto arow = dxa.row(r);
-    auto brow = dxb.row(r);
-    auto orow = dx.row(r);
-    std::copy(arow.begin(), arow.end(), orow.begin());
-    std::copy(brow.begin(), brow.end(),
-              orow.begin() + static_cast<std::ptrdiff_t>(arow.size()));
-  }
-  return dx;
+  split_columns(grad_output, a_out, grad_a_, grad_b_);
+  concat_columns(a_.backward(grad_a_), b_.backward(grad_b_), grad_input_);
+  return grad_input_;
 }
 
 std::vector<ParamView> TwoBranchLayer::parameters() {

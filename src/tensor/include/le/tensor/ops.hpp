@@ -96,6 +96,12 @@ void vrelu_avx2(std::span<const double> x, std::span<double> y);
 /// Convenience allocating wrappers.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
+/// out = A^T, resizing `out` to (a.cols() x a.rows()); once `out` has held
+/// that many elements, nothing is allocated.  `out` must not alias `a`.
+/// Lets a transposed-operand product run through gemm() from reused
+/// buffers (nn::DenseLayer::backward).
+void transpose(const Matrix& a, Matrix& out);
+
 /// out = A * x. x.size() must equal a.cols(); out.size() must equal a.rows().
 void matvec(const Matrix& a, std::span<const double> x, std::span<double> out);
 

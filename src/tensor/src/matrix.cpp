@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "le/tensor/ops.hpp"
+
 namespace le::tensor {
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
@@ -31,12 +33,8 @@ void Matrix::resize(std::size_t rows, std::size_t cols, double fill_value) {
 }
 
 Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out(c, r) = (*this)(r, c);
-    }
-  }
+  Matrix out;
+  transpose(*this, out);
   return out;
 }
 

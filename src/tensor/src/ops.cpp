@@ -121,6 +121,14 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   return out;
 }
 
+void transpose(const Matrix& a, Matrix& out) {
+  if (&out == &a) throw std::invalid_argument("transpose: out must not alias a");
+  out.resize(a.cols(), a.rows());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) out(c, r) = a(r, c);
+  }
+}
+
 namespace {
 
 void check_elementwise_spans(std::span<const double> x, std::span<double> y) {

@@ -436,7 +436,7 @@ TEST(Dispatcher, BufferedUncertaintyResetsOnDrain) {
   (void)dispatcher.query(std::vector<double>{2.0});
   EXPECT_EQ(dispatcher.training_buffer().size(), 2u);
   EXPECT_NEAR(dispatcher.mean_buffered_uncertainty(), 0.01, 1e-12);
-  (void)dispatcher.drain_training_buffer();
+  (void)dispatcher.take_retraining();
   EXPECT_DOUBLE_EQ(dispatcher.mean_buffered_uncertainty(), 0.0);
   EXPECT_EQ(dispatcher.training_buffer().size(), 0u);
 }

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <locale>
+#include <new>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -15,6 +19,26 @@
 #include "le/nn/serialize.hpp"
 #include "le/nn/train.hpp"
 #include "le/nn/two_branch.hpp"
+#include "le/tensor/simd.hpp"
+
+// Every global allocation in this binary is counted, so the training tests
+// below can assert that a steady-state step allocates nothing.  The
+// replacements pair malloc with free; GCC cannot see that through inlined
+// new-expressions, hence the pragma.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace le::nn {
 namespace {
@@ -23,7 +47,10 @@ using le::data::Dataset;
 using le::stats::Rng;
 
 /// Finite-difference check of d(loss)/d(param) against backprop for a
-/// given network and random batch.
+/// given network and random batch, in training mode.  Every loss
+/// evaluation runs on a clone of a snapshot taken before the analytic
+/// forward(): clone() copies each DropoutLayer's RNG state, so a network
+/// with dropout is checked with exactly the masks the analytic pass drew.
 void gradient_check(Network& net, std::size_t batch, double tol = 1e-5) {
   Rng rng(123);
   tensor::Matrix x(batch, net.input_dim());
@@ -33,31 +60,32 @@ void gradient_check(Network& net, std::size_t batch, double tol = 1e-5) {
   const MseLoss loss;
 
   net.set_training(true);
+  const Network snapshot = net.clone();
   net.zero_grad();
   tensor::Matrix pred = net.forward(x);
   LossResult lr = loss.evaluate(pred, y);
   net.backward(lr.grad);
 
-  // Copy analytic grads (views alias live storage that the FD loop mutates).
   std::vector<std::vector<double>> analytic;
   for (const auto& view : net.parameters()) {
     analytic.emplace_back(view.grads.begin(), view.grads.end());
   }
+  const auto loss_at = [&](std::size_t p, std::size_t j, double value) {
+    Network probe = snapshot.clone();
+    probe.parameters()[p].values[j] = value;
+    return loss.evaluate(probe.forward(x), y).value;
+  };
 
   const double eps = 1e-6;
-  auto params = net.parameters();
+  const auto params = net.parameters();
   std::size_t checked = 0;
   for (std::size_t p = 0; p < params.size(); ++p) {
     // Sample a few entries per tensor rather than the whole thing.
     const std::size_t stride = std::max<std::size_t>(1, params[p].values.size() / 7);
     for (std::size_t j = 0; j < params[p].values.size(); j += stride) {
       const double orig = params[p].values[j];
-      params[p].values[j] = orig + eps;
-      const double up = loss.evaluate(net.forward(x), y).value;
-      params[p].values[j] = orig - eps;
-      const double down = loss.evaluate(net.forward(x), y).value;
-      params[p].values[j] = orig;
-      const double fd = (up - down) / (2.0 * eps);
+      const double fd =
+          (loss_at(p, j, orig + eps) - loss_at(p, j, orig - eps)) / (2.0 * eps);
       EXPECT_NEAR(analytic[p][j], fd, tol)
           << "param tensor " << p << " entry " << j;
       ++checked;
@@ -144,7 +172,8 @@ TEST(Dropout, McModeStochasticAtEval) {
   layer.set_training(false);
   layer.set_mc_mode(true);
   tensor::Matrix x(1, 100, 1.0);
-  EXPECT_NE(layer.forward(x), layer.forward(x));
+  const tensor::Matrix first = layer.forward(x);  // forward() reuses its buffer
+  EXPECT_NE(first, layer.forward(x));
 }
 
 TEST(Dropout, InvalidRateThrows) {
@@ -225,6 +254,34 @@ TEST(GradientCheck, TwoBranch) {
   EXPECT_EQ(net.input_dim(), 5u);
   EXPECT_EQ(net.output_dim(), 2u);
   gradient_check(net, 4);
+}
+
+TEST(GradientCheck, DropoutMlp) {
+  // Under both kernel families: training runs through the dispatched GEMM
+  // and activation kernels, so the backward pass must match either one.
+  std::vector<tensor::GemmKernel> kernels{tensor::GemmKernel::kScalar};
+  if (tensor::cpu_has_avx2_fma()) kernels.push_back(tensor::GemmKernel::kAvx2);
+  for (const tensor::GemmKernel kernel : kernels) {
+    SCOPED_TRACE(tensor::to_string(kernel));
+    tensor::set_gemm_kernel_override(kernel);
+    Rng rng(13);
+    MlpConfig cfg;
+    cfg.input_dim = 3;
+    cfg.hidden = {6, 5};
+    cfg.output_dim = 2;
+    cfg.activation = Activation::kTanh;
+    cfg.dropout_rate = 0.4;
+    Network net = make_mlp(cfg, rng);
+    // The masks really are frozen (a clone replays them) and really drop
+    // units (the next draw differs).
+    const tensor::Matrix x(4, 3, 0.5);
+    const Network snapshot = net.clone();
+    const tensor::Matrix first = net.forward(x);
+    EXPECT_EQ(snapshot.clone().forward(x), first);
+    EXPECT_NE(net.forward(x), first);
+    gradient_check(net, 4);
+  }
+  tensor::set_gemm_kernel_override(std::nullopt);
 }
 
 TEST(Network, DimMismatchOnAdd) {
@@ -323,6 +380,56 @@ Dataset make_regression_data(std::size_t n, Rng& rng) {
     ds.add(std::span<const double>{in, 2}, std::span<const double>{tg, 1});
   }
   return ds;
+}
+
+TEST(Training, SteadyStateStepAllocatesNothing) {
+  Rng rng(18);
+  MlpConfig cfg;
+  cfg.input_dim = 5;
+  cfg.hidden = {32, 32};
+  cfg.output_dim = 3;
+  cfg.activation = Activation::kTanh;
+  cfg.dropout_rate = 0.1;
+  Network net = make_mlp(cfg, rng);
+  net.set_training(true);
+  tensor::Matrix x(32, 5), y(32, 3), grad;
+  for (double& v : x.flat()) v = rng.uniform(-1.0, 1.0);
+  for (double& v : y.flat()) v = rng.uniform(-1.0, 1.0);
+  const MseLoss loss;
+  AdamOptimizer opt(1e-2);
+  const std::vector<ParamView> params = net.parameters();
+  const auto step = [&] {
+    net.zero_grad();
+    (void)loss.evaluate(net.forward(x), y, grad);
+    net.backward(grad);
+    opt.step(params);
+  };
+  step();  // sizes every layer buffer and the optimizer state
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 10; ++i) step();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(Training, FitAllocationsDoNotGrowWithEpochs) {
+  Rng data_rng(19);
+  const Dataset ds = make_regression_data(100, data_rng);
+  const auto allocations_of_fit = [&](std::size_t epochs) {
+    Rng rng(20);
+    MlpConfig cfg;
+    cfg.input_dim = 2;
+    cfg.hidden = {8};
+    cfg.output_dim = 1;
+    cfg.dropout_rate = 0.1;
+    Network net = make_mlp(cfg, rng);
+    AdamOptimizer opt(1e-2);
+    TrainConfig tc;
+    tc.epochs = epochs;
+    tc.batch_size = 16;  // a short last batch every epoch
+    const std::size_t before = g_allocations.load();
+    (void)fit(net, ds, MseLoss{}, opt, tc, rng);
+    return g_allocations.load() - before;
+  };
+  EXPECT_EQ(allocations_of_fit(2), allocations_of_fit(9));
 }
 
 TEST(Training, LearnsSmoothFunction) {
