@@ -179,7 +179,6 @@ int main() {
 
   serve::BatchQueueConfig qc;
   qc.max_batch = kMaxBatch;
-  qc.max_wait = std::chrono::microseconds(500);
   qc.input_dim = 2;
   serve::BatchQueue queue(
       [&dispatcher, &ladder](const tensor::Matrix& inputs,

@@ -382,9 +382,9 @@ class SurrogateDispatcher {
   void sync_health_breaker();
 
   /// Guards surrogate_ only: query paths copy the shared_ptr once per
-  /// call; replace_surrogate() swaps under the same lock.  Everything
-  /// else the service thread touches (breaker, cache, health monitor)
-  /// is internally synchronized.
+  /// call (query() only on a cache miss); replace_surrogate() swaps under
+  /// the same lock.  Everything else the service thread touches (breaker,
+  /// cache, health monitor) is internally synchronized.
   mutable std::mutex model_mutex_;
   std::shared_ptr<uq::UqModel> surrogate_;
   /// The fp surrogate displaced by enable_quantized_serving(); null while

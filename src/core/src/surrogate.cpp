@@ -61,24 +61,11 @@ Answer SurrogateDispatcher::query(std::span<const double> input,
   if (level == serve::ServiceLevel::kShedAll) {
     return make_shed_answer(serve::ShedReason::kOverload, seconds_since(t0));
   }
-  // Cache epoch FIRST, then the model: if a replace_surrogate() lands in
-  // between, the stale epoch makes this query's eventual insert drop — a
-  // retired model's answer can never be cached into the new model's era.
+  // Cache epoch FIRST, then (on a miss, below) the model: if a
+  // replace_surrogate() lands in between, the stale epoch makes this
+  // query's eventual insert drop — a retired model's answer can never be
+  // cached into the new model's era.
   const std::uint64_t cache_epoch = cache_ ? cache_->epoch() : 0;
-  // One consistent model per query: a concurrent replace_surrogate()
-  // affects the next query, never a half-answered one.  At kQuantized the
-  // registered degraded surrogate serves instead of the incumbent.
-  std::shared_ptr<uq::UqModel> surrogate;
-  bool degraded = false;
-  {
-    std::lock_guard lock(model_mutex_);
-    if (level == serve::ServiceLevel::kQuantized && degraded_surrogate_) {
-      surrogate = degraded_surrogate_;
-      degraded = true;
-    } else {
-      surrogate = surrogate_;
-    }
-  }
 
   // Health monitoring sees every query input — cache hits included, since
   // drift is a property of the demand stream, not of the route taken.  A
@@ -113,6 +100,22 @@ Answer SurrogateDispatcher::query(std::span<const double> input,
   // forward, no fallback.  Cached answers above stay honest lookups.
   if (level == serve::ServiceLevel::kCacheOnly) {
     return make_shed_answer(serve::ShedReason::kOverload, seconds_since(t0));
+  }
+
+  // One consistent model per query: a concurrent replace_surrogate()
+  // affects the next query, never a half-answered one.  At kQuantized the
+  // registered degraded surrogate serves instead of the incumbent.  Taken
+  // only on a miss, so a cache hit never queues behind model_mutex_.
+  std::shared_ptr<uq::UqModel> surrogate;
+  bool degraded = false;
+  {
+    std::lock_guard lock(model_mutex_);
+    if (level == serve::ServiceLevel::kQuantized && degraded_surrogate_) {
+      surrogate = degraded_surrogate_;
+      degraded = true;
+    } else {
+      surrogate = surrogate_;
+    }
   }
 
   Answer answer;

@@ -53,6 +53,14 @@ class Network {
   /// must not alias `inputs`.
   void predict_batch(const tensor::Matrix& inputs, tensor::Matrix& outputs);
 
+  /// predict_batch through layers [first, last) only: `inputs` feeds layer
+  /// `first` and `outputs` receives layer `last - 1`'s output.  Lets a
+  /// caller run a deterministic prefix once and a stochastic suffix many
+  /// times (McDropoutEnsemble's T passes).  `outputs` must not alias
+  /// `inputs`.
+  void predict_layers(std::size_t first, std::size_t last,
+                      const tensor::Matrix& inputs, tensor::Matrix& outputs);
+
   /// Allocating predict_batch convenience.
   [[nodiscard]] tensor::Matrix predict_batch(const tensor::Matrix& inputs);
 

@@ -38,12 +38,21 @@ void Network::predict_batch(const tensor::Matrix& inputs,
   if (layers_.empty()) {
     throw std::logic_error("Network::predict_batch: empty network");
   }
+  predict_layers(0, layers_.size(), inputs, outputs);
+}
+
+void Network::predict_layers(std::size_t first, std::size_t last,
+                             const tensor::Matrix& inputs,
+                             tensor::Matrix& outputs) {
+  if (first >= last || last > layers_.size()) {
+    throw std::out_of_range("Network::predict_layers: bad layer range");
+  }
   if (&inputs == &outputs) {
-    throw std::invalid_argument("Network::predict_batch: outputs alias inputs");
+    throw std::invalid_argument("Network::predict_layers: outputs alias inputs");
   }
   const tensor::Matrix* cur = &inputs;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    tensor::Matrix& dst = i + 1 == layers_.size()
+  for (std::size_t i = first; i < last; ++i) {
+    tensor::Matrix& dst = i + 1 == last
                               ? outputs
                               : (cur == &infer_scratch_[0] ? infer_scratch_[1]
                                                            : infer_scratch_[0]);

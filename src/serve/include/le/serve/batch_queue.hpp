@@ -6,10 +6,15 @@
 /// thirty: layer dispatch, buffer setup and cache traffic amortize over the
 /// batch while the GEMMs grow only linearly.  BatchQueue turns concurrent
 /// single-sample submissions into one (batch x D) matrix-matrix forward:
-/// requests queue up, a dedicated serving thread waits a bounded interval
-/// for the batch to fill (or dispatches immediately when it does), runs the
-/// batched forward, and resolves every submitter's future from its row of
-/// the result.  bench_serving (E13) measures the throughput gain.
+/// requests queue up, and a dedicated serving thread is work-conserving by
+/// default — the moment it is free it takes everything pending (up to
+/// max_batch), runs the batched forward, and resolves every submitter's
+/// future from its row of the result.  A lone request on an idle queue is
+/// forwarded at once, and requests that arrive while a forward runs become
+/// the next batch, so batches grow exactly as fast as load does.  A
+/// positive BatchQueueConfig::max_wait opts into holding a partial batch
+/// open instead (see there).  bench_serving (E13) measures the throughput
+/// gain.
 ///
 /// Overload robustness (DESIGN.md section 14, bench_overload E17): the
 /// queue is the admission edge of the serving tier.
@@ -78,11 +83,17 @@ using ShedAwareForwardFn = std::function<tensor::Matrix(
     std::span<ShedReason> shed)>;
 
 struct BatchQueueConfig {
-  /// Rows per dispatched forward; a full batch dispatches immediately.
+  /// Most rows per dispatched forward; a longer queue is served in
+  /// successive batches of this size.
   std::size_t max_batch = 64;
-  /// How long a partially filled batch waits for more arrivals before it
-  /// is dispatched anyway — the tail-latency bound of coalescing.
-  std::chrono::microseconds max_wait{200};
+  /// Coalescing window.  0 (the default) is work-conserving: a free
+  /// serving thread dispatches whatever is pending at once.  A positive
+  /// window holds a partial batch open until it fills or the window
+  /// expires.  That adds up to the whole window to every request on an
+  /// idle queue, and pays only where each forward call carries a cost
+  /// that rows do not share — bench_overload (E17) injects a latency
+  /// spike per call — and the server is often idle between calls.
+  std::chrono::microseconds max_wait{0};
   /// Input width every submission must match.
   std::size_t input_dim = 1;
 };
@@ -106,7 +117,7 @@ struct BatchQueueStats {
   /// (E17) asserts it.
   std::uint64_t dead_request_forwards = 0;
   /// Queue-wait (submit to dispatch) p50/p95/p99 in seconds, from a
-  /// P-squared sketch — the latency cost of coalescing, per request.
+  /// P-squared sketch — per request, the time spent behind earlier work.
   obs::QuantileSketch::Quantiles wait;
 
   [[nodiscard]] double mean_batch() const noexcept {

@@ -145,11 +145,16 @@ void BatchQueue::serve_loop() {
     cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
     if (pending_.empty()) return;  // stopping and fully drained
 
-    // Bounded coalescing: hold a partial batch open until either it fills
-    // or max_wait elapses; stop requests flush immediately.
-    const auto deadline = std::chrono::steady_clock::now() + config_.max_wait;
-    while (!stopping_ && pending_.size() < config_.max_batch) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
+    // Work-conserving unless a window is configured: whatever is pending
+    // goes now, and arrivals during the forward below become the next
+    // batch.  A window holds a partial batch open until it fills or the
+    // window expires; stop requests flush immediately.
+    if (config_.max_wait.count() > 0) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + config_.max_wait;
+      while (!stopping_ && pending_.size() < config_.max_batch) {
+        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
+      }
     }
 
     const std::size_t take = std::min(pending_.size(), config_.max_batch);

@@ -21,12 +21,17 @@ class McDropoutEnsemble final : public UqModel {
   /// `forward_passes` is T, the implicit-ensemble size.
   McDropoutEnsemble(nn::Network network, std::size_t forward_passes = 32);
 
+  /// The one-row case of predict_batch(): bitwise the answer predict_batch
+  /// gives a 1-row matrix from the same RNG state.
   [[nodiscard]] Prediction predict(std::span<const double> input) override;
 
   /// Batched MC-dropout: T stochastic matrix-matrix passes over the whole
-  /// batch instead of rows x T single-row passes.  The per-row statistics
-  /// use different (but identically distributed) mask draws than row-wise
-  /// predict(), so means/spreads agree statistically, not bitwise.
+  /// batch instead of rows x T single-row passes.  The layers before the
+  /// first dropout draw no randomness, so they run once per call and only
+  /// the suffix from the first dropout on runs T times; the answers are
+  /// bitwise those of T whole-network passes.  The per-row statistics use
+  /// different (but identically distributed) mask draws than row-by-row
+  /// predict() calls, so means/spreads agree statistically, not bitwise.
   [[nodiscard]] std::vector<Prediction> predict_batch(
       const tensor::Matrix& inputs) override;
 
@@ -49,6 +54,8 @@ class McDropoutEnsemble final : public UqModel {
  private:
   nn::Network network_;
   std::size_t passes_;
+  tensor::Matrix row_;     ///< predict()'s 1-row input, reused
+  tensor::Matrix prefix_;  ///< the deterministic prefix's output, reused
 };
 
 }  // namespace le::uq

@@ -1,5 +1,6 @@
 #include "le/uq/mc_dropout.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -13,6 +14,17 @@ bool has_active_dropout(nn::Network& net) {
     }
   }
   return false;
+}
+
+/// Index of the first DropoutLayer: the layers before it draw no
+/// randomness, so their output is the same on every MC pass.
+std::size_t first_dropout(nn::Network& net) {
+  std::size_t i = 0;
+  while (i < net.layer_count() &&
+         !dynamic_cast<nn::DropoutLayer*>(&net.layer(i))) {
+    ++i;
+  }
+  return i;
 }
 }  // namespace
 
@@ -31,30 +43,9 @@ McDropoutEnsemble::McDropoutEnsemble(nn::Network network,
 }
 
 Prediction McDropoutEnsemble::predict(std::span<const double> input) {
-  network_.set_training(false);
-  network_.set_mc_dropout(true);
-  const std::size_t out_dim = network_.output_dim();
-  std::vector<double> sum(out_dim, 0.0), sum_sq(out_dim, 0.0);
-  for (std::size_t t = 0; t < passes_; ++t) {
-    const std::vector<double> y = network_.predict(input);
-    for (std::size_t k = 0; k < out_dim; ++k) {
-      sum[k] += y[k];
-      sum_sq[k] += y[k] * y[k];
-    }
-  }
-  network_.set_mc_dropout(false);
-
-  Prediction p;
-  p.mean.resize(out_dim);
-  p.stddev.resize(out_dim);
-  const double n = static_cast<double>(passes_);
-  for (std::size_t k = 0; k < out_dim; ++k) {
-    p.mean[k] = sum[k] / n;
-    const double var =
-        std::max(0.0, (sum_sq[k] - n * p.mean[k] * p.mean[k]) / (n - 1.0));
-    p.stddev[k] = std::sqrt(var);
-  }
-  return p;
+  row_.resize(1, input.size());
+  std::copy(input.begin(), input.end(), row_.data());
+  return std::move(predict_batch(row_).front());
 }
 
 std::vector<Prediction> McDropoutEnsemble::predict_batch(
@@ -67,9 +58,19 @@ std::vector<Prediction> McDropoutEnsemble::predict_batch(
   network_.set_mc_dropout(true);
   const std::size_t rows = inputs.rows();
   const std::size_t out_dim = network_.output_dim();
+  // The deterministic prefix runs once; only the stochastic suffix runs T
+  // times.  Each pass sees exactly the activations it would have computed
+  // itself, so every mean and spread is bitwise that of T whole passes.
+  const std::size_t split = first_dropout(network_);
+  const std::size_t depth = network_.layer_count();
+  const tensor::Matrix* suffix_in = &inputs;
+  if (split > 0) {
+    network_.predict_layers(0, split, inputs, prefix_);
+    suffix_in = &prefix_;
+  }
   tensor::Matrix sum(rows, out_dim), sum_sq(rows, out_dim), y;
   for (std::size_t t = 0; t < passes_; ++t) {
-    network_.predict_batch(inputs, y);
+    network_.predict_layers(split, depth, *suffix_in, y);
     for (std::size_t i = 0; i < y.size(); ++i) {
       const double v = y.data()[i];
       sum.data()[i] += v;

@@ -27,6 +27,7 @@
 #include "le/obs/health.hpp"
 #include "le/retrain/retraining_service.hpp"
 #include "le/runtime/fault.hpp"
+#include "le/serve/lookup_cache.hpp"
 #include "le/stats/rng.hpp"
 #include "le/uq/uq_model.hpp"
 
@@ -508,6 +509,79 @@ TEST(RetrainRace, HotSwapAndTakeRaceAServingThread) {
   const core::DispatcherStats& stats = dispatcher.stats();
   EXPECT_EQ(banked_total, stats.simulation_answers);
   EXPECT_GT(stats.total(), 0u);
+}
+
+TEST(RetrainRace, CacheHitsRaceReplaceSurrogate) {
+  // A cache hit answers without taking the model snapshot, so the serving
+  // thread reads the lookup cache while replace_surrogate() swaps models
+  // and clears the cache underneath it.  Every answer must come from some
+  // model generation, and no hit may carry a generation older than the
+  // last replace_surrogate() that returned before the query: the cache
+  // epoch, read before a miss takes its snapshot, keeps a retired model's
+  // answer out of the new era.  Each forward sleeps and the swaps come at
+  // varied gaps, so swaps often land between a miss's snapshot and its
+  // insert.  One serving thread, as the
+  // dispatcher's unsynchronized stats require.
+  const auto generation = [](int tag) {
+    return std::make_shared<StubModel>(
+        2, 2,
+        [tag](std::span<const double> p) {
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+          return std::vector<double>{p[0] + tag, p[1]};
+        },
+        /*stddev=*/0.05);
+  };
+  core::SurrogateDispatcher dispatcher(generation(0), simulation,
+                                       /*threshold=*/0.11);
+  dispatcher.enable_lookup_cache({});
+  stats::Rng rng(31);
+  std::vector<std::vector<double>> points;
+  for (int i = 0; i < 2; ++i) points.push_back(draw(rng, 0.0, 1.0));
+  constexpr int kLast = 100;
+
+  std::atomic<int> installed{0};  // last generation whose swap returned
+  std::atomic<bool> swapping_done{false};
+  std::size_t hits = 0;
+  int anomalies = 0;
+  int stale_hits = 0;
+  std::thread server([&] {
+    for (std::size_t q = 0; !swapping_done.load(std::memory_order_relaxed);
+         ++q) {
+      const std::vector<double>& p = points[q % points.size()];
+      const int floor = installed.load();
+      const core::Answer answer = dispatcher.query(p);
+      const double tag = std::round(answer.values[0] - p[0]);
+      if (answer.source != core::AnswerSource::kSurrogate || tag < 0.0 ||
+          tag > kLast || answer.values[0] != p[0] + tag ||
+          answer.values[1] != p[1]) {
+        ++anomalies;
+      }
+      if (answer.from_cache) {
+        ++hits;
+        if (tag < floor) ++stale_hits;
+      }
+    }
+  });
+  for (int tag = 1; tag <= kLast; ++tag) {
+    dispatcher.replace_surrogate(generation(tag));
+    installed.store(tag);
+    // Varied gaps: some swaps land while the last one's misses forward.
+    std::this_thread::sleep_for(std::chrono::microseconds(40 * (tag * 7 % 10)));
+  }
+  swapping_done.store(true);
+  server.join();
+
+  EXPECT_EQ(anomalies, 0);
+  EXPECT_EQ(stale_hits, 0);
+  EXPECT_GT(hits, 0u);
+  for (const std::vector<double>& p : points) {
+    const std::vector<double> last{p[0] + kLast, p[1]};
+    const core::Answer first = dispatcher.query(p);
+    EXPECT_EQ(first.values, last);  // hit or miss, only the last era serves
+    const core::Answer again = dispatcher.query(p);
+    EXPECT_TRUE(again.from_cache);
+    EXPECT_EQ(again.values, last);
+  }
 }
 
 // ---------------------------------------------------------------------------

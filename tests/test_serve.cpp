@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <limits>
@@ -259,30 +260,99 @@ TEST(BatchQueue, ResolvesEachFutureWithItsOwnRow) {
   EXPECT_EQ(queue.stats().queries, 20u);
 }
 
+/// A forward that holds every call open until release(), recording each
+/// batch's row count: pinning the serving thread busy lets a test decide
+/// exactly what is pending when it next becomes free.
+class PinnedForward {
+ public:
+  BatchForwardFn fn() {
+    return [this](const le::tensor::Matrix& in) {
+      std::unique_lock lock(mutex_);
+      rows_.push_back(in.rows());
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+      return doubling_forward(in);
+    };
+  }
+  /// Blocks until `n` forwards have started.
+  void wait_for_calls(std::size_t n) {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [this, n] { return rows_.size() >= n; });
+  }
+  void release() {
+    {
+      std::lock_guard lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+  std::vector<std::size_t> rows() {
+    std::lock_guard lock(mutex_);
+    return rows_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<std::size_t> rows_;
+  bool released_ = false;
+};
+
 TEST(BatchQueue, CoalescesConcurrentSubmissionsIntoFewerBatches) {
+  // A lone request on an idle queue is forwarded at once as a 1-row batch;
+  // with that forward pinned open, k submissions queue up and are served
+  // together as the next batch the moment the serving thread is free.
   BatchQueueConfig config;
   config.max_batch = 64;
-  config.max_wait = std::chrono::microseconds(20000);
   config.input_dim = 1;
-  BatchQueue queue(doubling_forward, config);
+  PinnedForward forward;
+  BatchQueue queue(forward.fn(), config);
 
-  constexpr int kQueries = 48;
+  auto head = queue.submit(std::vector<double>{-1.0});
+  forward.wait_for_calls(1);
+  constexpr std::size_t kQueued = 17;
   std::vector<std::future<std::vector<double>>> futures;
-  futures.reserve(kQueries);
-  for (int i = 0; i < kQueries; ++i) {
+  for (std::size_t i = 0; i < kQueued; ++i) {
     futures.push_back(queue.submit(std::vector<double>{static_cast<double>(i)}));
   }
-  for (int i = 0; i < kQueries; ++i) {
+  forward.release();
+
+  EXPECT_DOUBLE_EQ(head.get()[0], -2.0);
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    EXPECT_DOUBLE_EQ(futures[i].get()[0], 2.0 * static_cast<double>(i));
+  }
+  const BatchQueueStats stats = queue.stats();
+  EXPECT_EQ(stats.queries, kQueued + 1);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch_observed, kQueued);
+  EXPECT_EQ(forward.rows(), (std::vector<std::size_t>{1, kQueued}));
+}
+
+TEST(BatchQueue, MaxBatchCapsEachBatch) {
+  // A backlog longer than max_batch is served in successive full batches
+  // and one remainder, in FIFO order.
+  BatchQueueConfig config;
+  config.max_batch = 4;
+  config.input_dim = 1;
+  PinnedForward forward;
+  BatchQueue queue(forward.fn(), config);
+
+  auto head = queue.submit(std::vector<double>{-1.0});
+  forward.wait_for_calls(1);
+  std::vector<std::future<std::vector<double>>> futures;
+  for (int i = 0; i < 10; ++i) {
+    futures.push_back(queue.submit(std::vector<double>{static_cast<double>(i)}));
+  }
+  forward.release();
+
+  EXPECT_DOUBLE_EQ(head.get()[0], -2.0);
+  for (int i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(futures[static_cast<std::size_t>(i)].get()[0], 2.0 * i);
   }
-
   const BatchQueueStats stats = queue.stats();
-  EXPECT_EQ(stats.queries, static_cast<std::uint64_t>(kQueries));
-  // Back-to-back submissions against a 20ms coalescing window must land
-  // in strictly fewer dispatches than queries — that is the whole point.
-  EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kQueries));
-  EXPECT_GT(stats.max_batch_observed, 1u);
-  EXPECT_GT(stats.mean_batch(), 1.0);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.max_batch_observed, 4u);
+  EXPECT_EQ(forward.rows(), (std::vector<std::size_t>{1, 4, 4, 2}));
 }
 
 TEST(BatchQueue, FullBatchDispatchesBeforeMaxWait) {
@@ -330,7 +400,9 @@ TEST(BatchQueue, WrongRowCountFromForwardIsAnError) {
   config.max_batch = 2;
   config.input_dim = 1;
   BatchQueue queue(
-      [](const le::tensor::Matrix&) { return le::tensor::Matrix(1, 1); },
+      [](const le::tensor::Matrix& in) {
+        return le::tensor::Matrix(in.rows() + 1, 1);
+      },
       config);
 
   auto first = queue.submit(std::vector<double>{1.0});
@@ -386,7 +458,6 @@ TEST(BatchQueue, ConcurrentSynchronousQueriesAllResolve) {
   // serving thread through the full submit -> dispatch -> resolve cycle.
   BatchQueueConfig config;
   config.max_batch = 16;
-  config.max_wait = std::chrono::microseconds(500);
   config.input_dim = 1;
   BatchQueue queue(doubling_forward, config);
 

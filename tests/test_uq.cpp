@@ -1,6 +1,7 @@
 // Tests for MC-dropout, deep ensembles, calibration and acquisition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -385,6 +386,74 @@ TEST(McDropout, PredictBatchSamplesAllRows) {
     ASSERT_EQ(p.stddev.size(), 1u);
     EXPECT_TRUE(std::isfinite(p.mean[0]));
     EXPECT_GT(p.stddev[0], 0.0);
+  }
+}
+
+TEST(McDropout, PredictIsTheOneRowCaseOfPredictBatch) {
+  // Two clones start from the same dropout RNG state, so predict(x) on one
+  // must match predict_batch on a 1-row matrix of the other bit for bit,
+  // call after call.
+  Rng rng(43);
+  const nn::Network net = make_dropout_net(rng, 3, 2);
+  McDropoutEnsemble single(net.clone(), 16);
+  McDropoutEnsemble batched(net.clone(), 16);
+  Rng inputs(44);
+  for (int q = 0; q < 200; ++q) {
+    const std::vector<double> x{inputs.uniform(-1.0, 1.0),
+                                inputs.uniform(-1.0, 1.0),
+                                inputs.uniform(-1.0, 1.0)};
+    tensor::Matrix row(1, 3);
+    for (std::size_t k = 0; k < 3; ++k) row(0, k) = x[k];
+    const Prediction a = single.predict(x);
+    const Prediction b = batched.predict_batch(row).front();
+    ASSERT_EQ(a.mean, b.mean) << "query " << q;
+    ASSERT_EQ(a.stddev, b.stddev) << "query " << q;
+  }
+  EXPECT_THROW((void)single.predict(std::vector<double>{1.0}),
+               std::invalid_argument);
+}
+
+TEST(McDropout, SharedPrefixIsBitwiseTheWholeNetworkLoop) {
+  // predict_batch runs the layers before the first dropout once and only
+  // the suffix T times.  The reference is T whole-network MC passes on a
+  // clone with the same RNG state: every mean and spread must agree bit
+  // for bit, on consecutive calls too (the mask streams advance alike).
+  Rng rng(45);
+  const nn::Network net = make_dropout_net(rng, 3, 2);
+  constexpr std::size_t kPasses = 32;
+  McDropoutEnsemble ens(net.clone(), kPasses);
+  nn::Network ref = net.clone();
+  ref.set_training(false);
+  ref.set_mc_dropout(true);
+
+  Rng draw(46);
+  for (std::size_t rows : {1u, 7u, 64u}) {
+    tensor::Matrix x(rows, 3);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = draw.uniform(-1.0, 1.0);
+    }
+    const std::vector<Prediction> got = ens.predict_batch(x);
+
+    tensor::Matrix sum(rows, 2), sum_sq(rows, 2), y;
+    for (std::size_t t = 0; t < kPasses; ++t) {
+      ref.predict_batch(x, y);
+      for (std::size_t i = 0; i < y.size(); ++i) {
+        sum.data()[i] += y.data()[i];
+        sum_sq.data()[i] += y.data()[i] * y.data()[i];
+      }
+    }
+    const double n = static_cast<double>(kPasses);
+    ASSERT_EQ(got.size(), rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t k = 0; k < 2; ++k) {
+        const double mean = sum(r, k) / n;
+        const double var =
+            std::max(0.0, (sum_sq(r, k) - n * mean * mean) / (n - 1.0));
+        ASSERT_EQ(got[r].mean[k], mean) << "rows " << rows << " row " << r;
+        ASSERT_EQ(got[r].stddev[k], std::sqrt(var))
+            << "rows " << rows << " row " << r;
+      }
+    }
   }
 }
 
